@@ -270,7 +270,7 @@ func (p pacedProber) Ping(src, dst string, n int) ([]float64, error) {
 var (
 	batchFixOnce      sync.Once
 	batchFixLoc       *core.Localizer // paced: 5 ms wire time per ping train
-	batchFixSerialLoc *core.Localizer // paced + legacy serialized probe loop
+	batchFixSerialLoc *core.Localizer // paced, one probe at a time
 	batchFixRawLoc    *core.Localizer // unpaced: pure solver CPU and allocs
 	batchFixTargets   []string
 	batchFixErr       error
@@ -278,8 +278,8 @@ var (
 
 // batchFixture holds 8 hosts out of the survey as targets and builds a
 // localizer whose prober pays 5 ms of wire time per ping train (plus a
-// serialized-measurement twin for the fan-out speedup gate and an
-// unpaced twin for allocation measurements).
+// one-probe-at-a-time twin for the fan-out speedup gate and an unpaced
+// twin for allocation measurements).
 func batchFixture(b testing.TB) (*core.Localizer, []string) {
 	b.Helper()
 	batchFixOnce.Do(func() {
@@ -304,7 +304,7 @@ func batchFixture(b testing.TB) (*core.Localizer, []string) {
 		}
 		paced := pacedProber{Prober: prober, delay: 5 * time.Millisecond}
 		batchFixLoc = core.NewLocalizer(paced, survey, core.Config{})
-		batchFixSerialLoc = core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: -1})
+		batchFixSerialLoc = core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: 1, MeasurePerLandmark: 1})
 		batchFixRawLoc = core.NewLocalizer(prober, survey, core.Config{})
 		batchFixTargets = targets
 	})
@@ -373,10 +373,11 @@ func BenchmarkLocalizeBatchFused(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalizePacedSerial is the single-target latency of the
-// pre-scheduler measurement loop under 5 ms of wire time per ping train:
-// every landmark's train is paid for serially, so one localization costs
-// roughly landmarks × 5 ms before the solver even starts.
+// BenchmarkLocalizePacedSerial is the single-target latency of
+// one-probe-at-a-time measurement under 5 ms of wire time per ping
+// train: a 1-worker, 1-per-landmark scheduler pays every landmark's train
+// in turn, so one localization costs roughly landmarks × 5 ms before the
+// solver even starts.
 func BenchmarkLocalizePacedSerial(b *testing.B) {
 	batchFixture(b)
 	loc, targets := batchFixSerialLoc, batchFixTargets
@@ -390,9 +391,9 @@ func BenchmarkLocalizePacedSerial(b *testing.B) {
 }
 
 // BenchmarkLocalizePacedParallel is the same single-target workload with
-// the concurrent measurement scheduler fanning the landmark probes out.
-// CI gates it against BenchmarkLocalizePacedSerial in the same report:
-// the fan-out must cut paced latency by ≥ 4×.
+// the measurement scheduler fanning the landmark probes out at its
+// default caps. CI gates it against BenchmarkLocalizePacedSerial in the
+// same report: the fan-out must cut paced latency by ≥ 4×.
 func BenchmarkLocalizePacedParallel(b *testing.B) {
 	loc, targets := batchFixture(b)
 	b.ReportAllocs()

@@ -53,14 +53,14 @@ func runBulk(seed uint64, nTargets, workers int, pace time.Duration) error {
 	for i := range targets {
 		targets[i] = hosts[i%hold].Name
 	}
-	// The sequential reference pins MeasureWorkers to the legacy
-	// serialized probe loop: the gate compares the fused stack against
-	// the pre-batch, pre-scheduler deployment, and letting the baseline
-	// fan out its own probes would quietly re-baseline the ≥5× floor.
-	// The parity check below doubles as a differential test that the
-	// concurrent scheduler is bit-identical to the serialized loop.
+	// The sequential reference measures through a 1-worker, 1-per-landmark
+	// scheduler, which issues one ping train at a time in landmark order:
+	// the gate compares the fused stack against one-probe-at-a-time
+	// localization, and letting the baseline fan out its own probes would
+	// quietly re-baseline the ≥5× floor. The parity check below doubles
+	// as a differential test that answers do not depend on the fan-out.
 	paced := pacedProber{Prober: prober, delay: pace}
-	seqLoc := core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: -1})
+	seqLoc := core.NewLocalizer(paced, survey, core.Config{MeasureWorkers: 1, MeasurePerLandmark: 1})
 	loc := core.NewLocalizer(paced, survey, core.Config{})
 
 	// One warmup localization per localizer so land-mask masters and

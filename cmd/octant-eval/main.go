@@ -22,7 +22,7 @@
 //	    -bench-names Fig1RegionCombination,Localize -max-regress 0.20
 //
 // The -bulk mode benchmarks bulk localization throughput — a paced
-// per-target loop vs the fused LocalizeBatch path over one homogeneous
+// per-target loop vs the fused LocalizeBatchWith path over one homogeneous
 // batch — emitting bench-format lines for the archive and failing unless
 // the fused results are bit-identical to the sequential references:
 //
@@ -76,7 +76,7 @@ func main() {
 		benchReport = flag.String("bench-report", "", "single BENCH_<sha>.json report for -bench-within")
 		benchWithin = flag.String("bench-within", "", "cand=base:nsfrac[:allocs] — within -bench-report, fail unless cand's ns/op ≤ base's·(1+nsfrac) and cand adds ≤ allocs allocs/op (default 0); e.g. LocalizeV2=Localize:0.02:0")
 
-		bulk        = flag.Bool("bulk", false, "bulk throughput mode: paced per-target loop vs fused LocalizeBatch over one homogeneous batch, emitted as bench lines (pipe into -bench-json); exits non-zero if the fused results are not bit-identical")
+		bulk        = flag.Bool("bulk", false, "bulk throughput mode: paced per-target loop vs fused LocalizeBatchWith over one homogeneous batch, emitted as bench lines (pipe into -bench-json); exits non-zero if the fused results are not bit-identical")
 		bulkTargets = flag.Int("bulk-targets", 64, "bulk mode: targets per batch (cycles over the 8 held-out hosts)")
 		bulkWorkers = flag.Int("bulk-workers", 8, "bulk mode: fused worker count")
 		bulkPace    = flag.Duration("bulk-pace", 5*time.Millisecond, "bulk mode: simulated wire time per ping train")
@@ -85,7 +85,7 @@ func main() {
 		clusterKeys     = flag.Int("cluster-keys", 64, "cluster mode: unique (target, fingerprint) keys per scaling leg")
 		clusterPace     = flag.Duration("cluster-pace", 4*time.Millisecond, "cluster mode: wire time each ping train occupies one of a node's probing lanes (makes per-node measurement capacity the bottleneck)")
 		clusterMinScale = flag.Float64("cluster-min-scale", 1.7, "cluster mode: fail unless the 2-node fleet clears this multiple of 1-node throughput")
-		clusterMinNode  = flag.Float64("cluster-min-node-speedup", 3, "cluster mode: fail unless the concurrent-measurement 1-node leg clears this multiple of the serialized-measurement baseline's throughput")
+		clusterMinNode  = flag.Float64("cluster-min-node-speedup", 3, "cluster mode: fail unless the 1-node leg clears this multiple of the single-probing-lane baseline node's throughput")
 
 		chaosOn       = flag.Bool("chaos", false, "chaos mode: kill/revive landmarks and serve nodes under load; exits non-zero on any client-visible error, missing degraded-mode coverage, unbounded accuracy loss, or failed recovery")
 		chaosNodes    = flag.Int("chaos-nodes", 3, "chaos mode: serving-fleet size (≥ 3)")

@@ -86,11 +86,18 @@ func main() {
 		drain     = flag.Duration("activate-drain", 2*time.Second, "in-flight drain budget before an epoch activation swaps anyway")
 		grace     = flag.Duration("shutdown-grace", 30*time.Second, "in-flight request drain budget on SIGINT/SIGTERM")
 		retries   = flag.Int("probe-retries", 3, "attempts per measurement (1 disables retrying); transient probe failures back off and retry, so one lost train doesn't degrade a localization or void a survey refresh")
-		measureW  = flag.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; negative = serialized legacy loop)")
+		measureW  = flag.Int("measure-workers", 0, "concurrent probes per localization fan-out (0 = scheduler default, 16; 1 = one probe at a time; negative values are rejected)")
 		rttTTL    = flag.Duration("rtt-cache-ttl", 0, "measurement-scheduler RTT cache lifetime (0 disables caching and in-flight dedup; entries are epoch-qualified so a survey swap never serves stale minima)")
 		geodbFile = flag.String("geodb", "", "passive geolocation database JSON (geodb.LoadFile format); records feed the geodb evidence source, RTT cross-validated per target")
 	)
 	flag.Parse()
+	if *measureW < 0 {
+		// A negative value used to select a serialized measurement loop;
+		// passed on, it would silently become the 16-way default.
+		log.Printf("-measure-workers %d: the serialized measurement loop was removed; use -measure-workers 1 to probe one at a time", *measureW)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	prober, landmarks, err := serve.BuildProber(*proberKnd, *seed, *holdout, *lmFile)
 	if err != nil {

@@ -202,10 +202,10 @@ func TestCoalescingDeduplicatesConcurrentTargets(t *testing.T) {
 func TestCancelledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	f := sharedFixture(t)
 	cp := &countingProber{Prober: f.prober, delay: 2 * time.Millisecond}
-	// Serialized measurement keeps the leader mid-measurement for the
-	// whole ~86ms the sleeps below assume; the engine-level flight group
-	// under test is independent of how probes are scheduled.
-	loc := core.NewLocalizer(cp, f.survey, core.Config{MeasureWorkers: -1})
+	// One probe at a time keeps the leader mid-measurement for the whole
+	// ~86ms the sleeps below assume; the engine-level flight group under
+	// test is independent of how probes are scheduled.
+	loc := core.NewLocalizer(cp, f.survey, core.Config{MeasureWorkers: 1, MeasurePerLandmark: 1})
 	eng := batch.New(loc, batch.Options{Workers: 4, CacheSize: -1})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())

@@ -43,16 +43,10 @@ type FleetConfig struct {
 	// machine-independent.
 	ProbePace time.Duration
 	// ProbeLanes is the node's concurrent train capacity when ProbePace
-	// is set (0 = default 4; 1 reproduces the single serialized pinger
-	// the pre-scheduler deployment model had). A concurrent fan-out
-	// overlaps up to this many trains' wire time; a serialized
-	// measurement loop pays it train by train regardless.
+	// is set (0 = default 4; 1 models a single pinger that carries one
+	// train at a time, the cluster benchmark's baseline node). The
+	// scheduler's fan-out overlaps up to this many trains' wire time.
 	ProbeLanes int
-	// SerializedMeasurement pins each node's localizer to the legacy
-	// one-probe-at-a-time measurement loop (core MeasureWorkers < 0).
-	// The cluster benchmark uses it as the baseline leg its per-node
-	// throughput gate compares the concurrent scheduler against.
-	SerializedMeasurement bool
 	// RetryAttempts wraps every node's prober in probe.WithRetry with
 	// this attempt budget (0/1 = no retries). The chaos harness uses it
 	// so transient loss injected into the world is absorbed below the
@@ -215,11 +209,7 @@ func StartLocalFleet(cfg FleetConfig) (*LocalFleet, error) {
 				MaxBackoff:  10 * time.Millisecond,
 			})
 		}
-		nodeCfg := core.Config{Probes: 10}
-		if cfg.SerializedMeasurement {
-			nodeCfg.MeasureWorkers = -1
-		}
-		manager := lifecycle.New(nodeProber, nodeSurvey, nodeCfg, lifecycle.Options{Probes: 10})
+		manager := lifecycle.New(nodeProber, nodeSurvey, core.Config{Probes: 10}, lifecycle.Options{Probes: 10})
 		engine := batch.NewWithProvider(manager, batch.Options{
 			Workers:   cfg.Workers,
 			CacheSize: cfg.CacheSize,

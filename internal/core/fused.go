@@ -43,59 +43,44 @@ import (
 // same localizeRequest body; the differential parity harness in
 // fused_test.go enforces this.
 
-// defaultFusedWorkers is LocalizeBatch's worker-pool width when the
+// defaultFusedWorkers is the fused batch's worker-pool width when the
 // caller passes no explicit count. Measurement latency dominates bulk
 // localization and overlaps across targets, so the default intentionally
 // exceeds typical core counts.
 const defaultFusedWorkers = 8
 
-// LocalizeBatch estimates the position of every target with one fused
-// batch solve. opts apply to every target (one options fingerprint — one
-// group). The returned slices are parallel to targets: results[i] is nil
-// exactly when errs[i] is non-nil. Cancelling ctx aborts in-flight
-// targets at their next measurement and reports queued ones with ctx's
-// error.
+// LocalizeBatchWith estimates the position of every target with one
+// fused batch solve on workers goroutines (≤ 0 means the default). o
+// applies to every target (one options fingerprint — one group; nil
+// means defaults): callers dispatching many batches under one tuning
+// (the batch engine) resolve and fingerprint the options once and reuse
+// them, as with LocalizeWith. The returned slices are parallel to
+// targets: results[i] is nil exactly when errs[i] is non-nil. Cancelling
+// ctx aborts in-flight targets at their next measurement and reports
+// queued ones with ctx's error.
 //
-// Each result is bit-identical to what a sequential
-// LocalizeContext(ctx, targets[i], opts...) call would return; batching
-// changes throughput and allocation behaviour, never answers. Duplicate
-// targets are each measured (use the batch engine for caching and
-// coalescing).
-func (l *Localizer) LocalizeBatch(ctx context.Context, targets []string, opts ...LocalizeOption) ([]*Result, []error) {
-	if len(opts) == 0 {
-		return l.LocalizeBatchWith(ctx, targets, 0, nil)
-	}
-	o := NewLocalizeOptions(opts...)
-	return l.LocalizeBatchWith(ctx, targets, 0, &o)
-}
-
-// LocalizeBatchWith is LocalizeBatch over pre-resolved options and an
-// explicit worker count (≤ 0 means the default), mirroring LocalizeWith:
-// callers dispatching many batches under one tuning (the batch engine)
-// resolve and fingerprint the options once and reuse them.
+// Each result is bit-identical to what a sequential LocalizeWith(ctx,
+// targets[i], o) call would return; batching changes throughput and
+// allocation behaviour, never answers. Duplicate targets are each
+// measured (use the batch engine for caching and coalescing).
 func (l *Localizer) LocalizeBatchWith(ctx context.Context, targets []string, workers int, o *LocalizeOptions) ([]*Result, []error) {
 	results := make([]*Result, len(targets))
 	errs := make([]error, len(targets))
-	l.LocalizeBatchFunc(ctx, targets, workers, o, func(i int, res *Result, err error) {
+	l.localizeBatch(ctx, targets, workers, 0, o, func(i int, res *Result, err error) {
 		results[i], errs[i] = res, err
 	})
 	return results, errs
 }
 
-// LocalizeBatchFunc is the streaming form of LocalizeBatchWith: emit is
-// invoked once per target, from worker goroutines as each target
-// completes (so emit must be safe for concurrent use), and the call
-// returns after the last emit. Streaming front ends (the batch engine's
-// Run) use this to deliver fused results in completion order instead of
-// waiting for the slowest target in the group.
-func (l *Localizer) LocalizeBatchFunc(ctx context.Context, targets []string, workers int, o *LocalizeOptions, emit func(i int, res *Result, err error)) {
-	l.localizeBatch(ctx, targets, workers, 0, o, emit)
-}
-
-// LocalizeBatchDeadline is LocalizeBatchFunc with a per-target deadline:
-// each target's localization (measurement included) runs under its own
-// timeout context starting when a worker picks it up, so queued targets
-// get a full budget — the same contract as the batch engine's
+// LocalizeBatchDeadline is the streaming form of LocalizeBatchWith with
+// a per-target deadline. emit is invoked once per target, from worker
+// goroutines as each target completes (so emit must be safe for
+// concurrent use), and the call returns after the last emit. Streaming
+// front ends (the batch engine's Run) use this to deliver fused results
+// in completion order instead of waiting for the slowest target in the
+// group. Each target's localization (measurement included) runs under
+// its own timeout context starting when a worker picks it up, so queued
+// targets get a full budget — the same contract as the batch engine's
 // TargetTimeout on the per-target path. A zero timeout means no limit.
 func (l *Localizer) LocalizeBatchDeadline(ctx context.Context, targets []string, workers int, timeout time.Duration, o *LocalizeOptions, emit func(i int, res *Result, err error)) {
 	l.localizeBatch(ctx, targets, workers, timeout, o, emit)

@@ -192,7 +192,7 @@ func TestLocalizeBatchPartialErrors(t *testing.T) {
 	loc, targets := fusedFixture(t, 17, 4, 6)
 	bad := loc.Survey.Landmarks[0].Addr
 	targets[2] = bad
-	results, errs := loc.LocalizeBatch(context.Background(), targets)
+	results, errs := loc.LocalizeBatchWith(context.Background(), targets, 0, nil)
 	for i := range targets {
 		if i == 2 {
 			if errs[i] == nil || results[i] != nil {
@@ -212,7 +212,7 @@ func TestLocalizeBatchCancellation(t *testing.T) {
 	loc, targets := fusedFixture(t, 17, 4, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, errs := loc.LocalizeBatch(ctx, targets)
+	results, errs := loc.LocalizeBatchWith(ctx, targets, 0, nil)
 	for i := range targets {
 		if errs[i] == nil || results[i] != nil {
 			t.Errorf("target %d: err %v result %v after cancel", i, errs[i], results[i])
@@ -224,7 +224,7 @@ func TestLocalizeBatchCancellation(t *testing.T) {
 // matching the scalar path's contract.
 func TestLocalizeBatchNoSurvey(t *testing.T) {
 	l := &Localizer{}
-	results, errs := l.LocalizeBatch(context.Background(), []string{"a", "b"})
+	results, errs := l.LocalizeBatchWith(context.Background(), []string{"a", "b"}, 0, nil)
 	for i := range errs {
 		if errs[i] == nil || results[i] != nil {
 			t.Errorf("target %d: err %v, result %v", i, errs[i], results[i])

@@ -116,12 +116,13 @@ type Config struct {
 	MaxRouterHeightDeflationMs float64
 
 	// MeasureWorkers caps concurrent probes during measurement fan-out
-	// (0 = the scheduler default, 16). Negative serializes measurement
-	// entirely — the pre-scheduler loop, kept as the benchmark baseline
-	// and the differential-parity reference.
+	// (≤ 0 = the scheduler default, 16). With MeasureWorkers 1 and
+	// MeasurePerLandmark 1 the scheduler issues one probe at a time in
+	// landmark order — the one-at-a-time baseline the paced benchmarks
+	// compare fan-out against.
 	MeasureWorkers int
 	// MeasurePerLandmark caps concurrent probe trains issued from one
-	// landmark (0 = the scheduler default, 4), so target fan-out never
+	// landmark (≤ 0 = the scheduler default, 4), so target fan-out never
 	// hammers a single vantage point.
 	MeasurePerLandmark int
 	// MeasureMinInterval additionally spaces successive probe starts
@@ -203,6 +204,9 @@ func (c *Config) fillDefaults() {
 // writes the Localizer, the Survey, and the Resolver. Concurrent callers
 // wanting bounded parallelism, caching, and cancellation should use the
 // batch engine rather than raw goroutines.
+//
+// Build Localizers with NewLocalizer or NewLocalizerReusing: every probe
+// a Localizer issues goes through the measurement scheduler they attach.
 type Localizer struct {
 	Prober   probe.Prober
 	Survey   *Survey
@@ -225,12 +229,10 @@ type Localizer struct {
 	// shallow-copy sharing discipline as masks.
 	pctx *ProjectionContext
 
-	// sched is the concurrent measurement scheduler every request through
-	// this Localizer fans its probes through — scalar and fused-batch
-	// alike, so per-landmark pacing budgets and the optional RTT cache
-	// are shared across concurrent targets. Nil when Cfg.MeasureWorkers
-	// is negative (serialized measurement) or the Localizer was built as
-	// a zero-value literal.
+	// sched is the measurement scheduler every request through this
+	// Localizer fans its probes through — scalar and fused-batch alike,
+	// so per-landmark pacing budgets and the optional RTT cache are
+	// shared across concurrent targets.
 	sched *measure.Scheduler
 }
 
@@ -245,14 +247,12 @@ func NewLocalizer(p probe.Prober, s *Survey, cfg Config) *Localizer {
 		Hints:    hints.NewEngine(),
 		masks:    NewLandMaskCache(),
 	}
-	if cfg.MeasureWorkers >= 0 {
-		l.sched = measure.New(measure.Config{
-			Workers:     cfg.MeasureWorkers,
-			PerLandmark: cfg.MeasurePerLandmark,
-			MinInterval: cfg.MeasureMinInterval,
-			CacheTTL:    cfg.RTTCacheTTL,
-		})
-	}
+	l.sched = measure.New(measure.Config{
+		Workers:     cfg.MeasureWorkers,
+		PerLandmark: cfg.MeasurePerLandmark,
+		MinInterval: cfg.MeasureMinInterval,
+		CacheTTL:    cfg.RTTCacheTTL,
+	})
 	if s != nil && s.N() > 0 {
 		l.pctx = NewProjectionContext(s)
 	}
@@ -278,13 +278,11 @@ func NewLocalizerReusing(p probe.Prober, s *Survey, cfg Config, prev *Localizer)
 		if prev.Hints != nil {
 			l.Hints = prev.Hints
 		}
-		if prev.sched != nil && l.sched != nil {
-			// Carry the scheduler too: its per-landmark pacing budgets
-			// span epochs (the landmarks haven't changed) and its RTT
-			// cache is epoch-qualified, so stale generations can never
-			// be served — they just stop being looked up.
-			l.sched = prev.sched
-		}
+		// Carry the scheduler too: its per-landmark pacing budgets span
+		// epochs (the landmarks haven't changed) and its RTT cache is
+		// epoch-qualified, so stale generations can never be served —
+		// they just stop being looked up.
+		l.sched = prev.sched
 	}
 	return l
 }
@@ -293,10 +291,9 @@ func NewLocalizerReusing(p probe.Prober, s *Survey, cfg Config, prev *Localizer)
 // zero-value Localizer built without NewLocalizer).
 func (l *Localizer) LandMasks() *LandMaskCache { return l.masks }
 
-// MeasureScheduler returns the localizer's concurrent measurement
-// scheduler — nil when measurement is serialized (Cfg.MeasureWorkers <
-// 0) or the Localizer was built as a zero-value literal. Serving stacks
-// read its Stats for /v1/stats.
+// MeasureScheduler returns the measurement scheduler every probe of
+// this localizer goes through. Serving stacks read its Stats for
+// /v1/stats.
 func (l *Localizer) MeasureScheduler() *measure.Scheduler { return l.sched }
 
 // Result is one localization outcome.
@@ -677,11 +674,11 @@ func (l *Localizer) applySecondary(res *Result, req *Request) error {
 // It also returns the traceroutes that failed, as skip-with-reason
 // entries for the RouterSource's report; a failure never aborts the
 // request. The traceroutes themselves fan out through the request's
-// measurement scheduler when one is attached — slot-indexed placement
-// restores rank order before any hop is processed, so the per-city
-// best-constraint map (and therefore the output) is identical to the
-// serialized walk. measureNs, filled only when timing is set, is the
-// wall time spent in traceroute measurement.
+// measurement scheduler — slot-indexed placement restores rank order
+// before any hop is processed, so the per-city best-constraint map (and
+// therefore the output) does not depend on completion order. measureNs,
+// filled only when timing is set, is the wall time spent in traceroute
+// measurement.
 func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []Constraint, failed []ProbeFailure, measureNs int64) {
 	s := req.Survey
 	cfg := &req.Cfg
@@ -718,47 +715,27 @@ func routerConstraints(ctx context.Context, req *Request, timing bool) (cons []C
 		resid float64
 	}
 	best := make(map[string]routerCons) // per city code, keep the tightest
-	nTr := cfg.TracerouteLandmarks
-	if nTr > len(order) {
-		nTr = len(order)
+	nTr := max(0, min(cfg.TracerouteLandmarks, len(order)))
+	// Measure first, process after: hop processing is pure computation
+	// over per-slot hop lists, so separating the phases changes
+	// wall-clock only.
+	srcs := make([]string, nTr)
+	for k := 0; k < nTr; k++ {
+		srcs[k] = s.Landmarks[order[k].idx].Addr
 	}
-	// Measure first (concurrently when a scheduler is attached), process
-	// after: hop processing is pure computation over per-slot hop lists,
-	// so separating the phases changes wall-clock only.
-	var hopLists [][]probe.Hop
-	var terrs []error
-	if sched := req.sched; sched != nil && nTr > 1 {
-		srcs := make([]string, nTr)
-		for k := 0; k < nTr; k++ {
-			srcs[k] = s.Landmarks[order[k].idx].Addr
-		}
-		hopLists = make([][]probe.Hop, nTr)
-		terrs = make([]error, nTr)
-		var mt0 time.Time
-		if timing {
-			mt0 = time.Now()
-		}
-		sched.TracerouteInto(ctx, req.Prober, srcs, req.Target, hopLists, terrs)
-		if timing {
-			measureNs = int64(time.Since(mt0))
-		}
+	hopLists := make([][]probe.Hop, nTr)
+	terrs := make([]error, nTr)
+	var mt0 time.Time
+	if timing {
+		mt0 = time.Now()
+	}
+	req.sched.TracerouteInto(ctx, req.Prober, srcs, req.Target, hopLists, terrs)
+	if timing {
+		measureNs = int64(time.Since(mt0))
 	}
 	for k := 0; k < nTr; k++ {
 		lm := s.Landmarks[order[k].idx]
-		var hops []probe.Hop
-		var err error
-		if hopLists != nil {
-			hops, err = hopLists[k], terrs[k]
-		} else {
-			var t0 time.Time
-			if timing {
-				t0 = time.Now()
-			}
-			hops, err = req.Prober.Traceroute(lm.Addr, req.Target)
-			if timing {
-				measureNs += int64(time.Since(t0))
-			}
-		}
+		hops, err := hopLists[k], terrs[k]
 		if err != nil {
 			failed = append(failed, ProbeFailure{Landmark: lm.Name, Reason: "traceroute: " + err.Error()})
 			continue

@@ -71,12 +71,6 @@ type SurveyOpts struct {
 	Probes           int     // ping samples per pair (default 10, as in §3)
 	CutoffPercentile float64 // calibration cutoff ρ percentile (default 90)
 	UseHeights       bool    // adjust latencies by solved heights (§2.2)
-	// Workers bounds the concurrent pairwise pings of the O(k²) survey
-	// matrix (0 = the scheduler default, 16; negative = serialized, the
-	// pre-scheduler loop). Pair (i,j) is always measured exactly once in
-	// either mode, so a deterministic prober yields a bit-identical
-	// matrix regardless of the setting.
-	Workers int
 }
 
 func (o *SurveyOpts) fillDefaults() {
@@ -168,13 +162,12 @@ func NewSurvey(p probe.Prober, landmarks []Landmark, opts SurveyOpts) (*Survey, 
 }
 
 // surveyPairs measures every landmark pair once and fills the symmetric
-// RTT matrix. With a non-negative worker budget the O(k²) pings fan out
-// through an ephemeral measurement scheduler (no cache — a survey is the
-// baseline other measurements are compared against, so every pair is
-// probed fresh); a negative budget keeps the serialized walk. Either
-// way the first failing pair in (i, j) iteration order aborts with the
-// same error the sequential loop raised: the scheduler dispatches slots
-// in order and reports the lowest errored one.
+// RTT matrix. The O(k²) pings fan out through an ephemeral measurement
+// scheduler at its default caps (no cache — a survey is the baseline
+// other measurements are compared against, so every pair is probed
+// fresh). The first failing pair in (i, j) iteration order aborts with
+// the error a sequential walk raises: the scheduler claims slots in
+// order and reports the lowest errored one.
 func surveyPairs(p probe.Prober, landmarks []Landmark, opts SurveyOpts, rtt [][]float64) error {
 	n := len(landmarks)
 	type pair struct{ i, j int }
@@ -199,15 +192,7 @@ func surveyPairs(p probe.Prober, landmarks []Landmark, opts SurveyOpts, rtt [][]
 		rtt[i][j], rtt[j][i] = min, min
 		return nil
 	}
-	if opts.Workers < 0 {
-		for _, pr := range pairs {
-			if err := ping(pr.i, pr.j); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sched := measure.New(measure.Config{Workers: opts.Workers})
+	sched := measure.New(measure.Config{})
 	_, err := sched.Run(context.Background(), len(pairs), func(slot int) error {
 		pr := pairs[slot]
 		return sched.Paced(context.Background(), landmarks[pr.i].Addr, func() error {

@@ -237,7 +237,7 @@ func (d *Deployment) RunFig4(octantCfg core.Config, counts []int, trials int, se
 					addrs = append(addrs, d.Landmarks[ti].Addr)
 				}
 			}
-			oress, oerrs := loc.LocalizeBatch(context.Background(), addrs)
+			oress, oerrs := loc.LocalizeBatchWith(context.Background(), addrs, 0, nil)
 			for bi, ti := range evalIdx {
 				target := d.Landmarks[ti]
 				if ores := oress[bi]; oerrs[bi] == nil {

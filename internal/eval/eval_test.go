@@ -143,7 +143,7 @@ func TestFig3FusedParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		loc := core.NewLocalizer(d.Prober, sub, core.Config{})
-		results, errs := loc.LocalizeBatch(ctx, []string{target.Addr})
+		results, errs := loc.LocalizeBatchWith(ctx, []string{target.Addr}, 0, nil)
 		if errs[0] != nil {
 			t.Fatalf("fused leave-one-out on %s: %v", target.Name, errs[0])
 		}
@@ -155,7 +155,7 @@ func TestFig3FusedParity(t *testing.T) {
 }
 
 // TestFig4FusedParity pins the Figure 4 production path: one subset
-// survey's full target sweep through LocalizeBatch must be bit-identical
+// survey's full target sweep through LocalizeBatchWith must be bit-identical
 // (point, area, containment) to per-target scalar localization, so the
 // batched RunFig4 reproduces the pre-fused golden exactly.
 func TestFig4FusedParity(t *testing.T) {
@@ -182,7 +182,7 @@ func TestFig4FusedParity(t *testing.T) {
 			addrs = append(addrs, d.Landmarks[ti].Addr)
 		}
 	}
-	results, errs := loc.LocalizeBatch(context.Background(), addrs)
+	results, errs := loc.LocalizeBatchWith(context.Background(), addrs, 0, nil)
 	for i, target := range targets {
 		sres, serr := loc.Localize(target.Addr)
 		if (serr == nil) != (errs[i] == nil) {

@@ -2,7 +2,10 @@ package lifecycle_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,6 +124,128 @@ func TestRefreshWithoutDriftKeepsEpoch(t *testing.T) {
 	}
 }
 
+// serialReprobeWalk is Refresh's reprobe loop as it ran before all
+// probing went through the measurement scheduler, kept as the parity
+// reference: every pair with an endpoint in scope (nil = all), in (i, j)
+// order, the first failing pair aborting the refresh. It returns the RTT
+// matrix the refresh should publish (pairs drifted beyond tolMs take the
+// fresh value) and the drifted landmarks in survey order.
+func serialReprobeWalk(p probe.Prober, s *core.Survey, scope []int, probes int, tolMs float64) ([][]float64, []string, error) {
+	n := s.N()
+	inScope := make([]bool, n)
+	for i := range inScope {
+		inScope[i] = scope == nil
+	}
+	for _, i := range scope {
+		inScope[i] = true
+	}
+	rtt := make([][]float64, n)
+	for i := range rtt {
+		rtt[i] = append([]float64(nil), s.RTT[i]...)
+	}
+	dirty := make([]bool, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if !inScope[i] && !inScope[j] {
+				continue
+			}
+			samples, err := p.Ping(s.Landmarks[i].Addr, s.Landmarks[j].Addr, probes)
+			if err != nil {
+				return nil, nil, fmt.Errorf("lifecycle: refresh ping %s→%s: %w",
+					s.Landmarks[i].Name, s.Landmarks[j].Name, err)
+			}
+			min, err := probe.MinRTT(samples)
+			if err != nil {
+				return nil, nil, err
+			}
+			if math.Abs(min-s.RTT[i][j]) > tolMs {
+				rtt[i][j], rtt[j][i] = min, min
+				dirty[i], dirty[j] = true, true
+			}
+		}
+	}
+	var names []string
+	for i, d := range dirty {
+		if d {
+			names = append(names, s.Landmarks[i].Name)
+		}
+	}
+	return rtt, names, nil
+}
+
+// TestRefreshReprobeParity: a refresh through the manager's scheduler
+// publishes exactly what the serial reprobe walk measures — full and
+// scoped, drift above and below tolerance — and aborts with the walk's
+// first failing pair. The default fan-out and one-at-a-time
+// configurations publish bit-identical epochs.
+func TestRefreshReprobeParity(t *testing.T) {
+	f := newFixture(t, 25, 16, 8)
+	f.driftPair(1, 4, 30)
+	f.driftPair(2, 7, 12)
+	f.driftPair(0, 3, 0.1) // below tolerance: measured, never published
+	const tol = 0.5
+	ctx := context.Background()
+	configs := []core.Config{{}, {MeasureWorkers: 1, MeasurePerLandmark: 1}}
+
+	for _, scope := range [][]int{nil, {2}} {
+		wantRTT, wantDirty, err := serialReprobeWalk(f.prober, f.survey, scope, f.survey.Probes, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var epochs []*lifecycle.Epoch
+		for _, cfg := range configs {
+			m := lifecycle.New(f.prober, f.survey, cfg, lifecycle.Options{DriftToleranceMs: tol})
+			rep, err := m.Refresh(ctx, scope)
+			if err != nil {
+				t.Fatalf("scope %v, %+v: %v", scope, cfg, err)
+			}
+			if !rep.Swapped || !reflect.DeepEqual(rep.DirtyLandmarks, wantDirty) {
+				t.Errorf("scope %v, %+v: swapped=%v dirty=%v, want the serial walk's %v",
+					scope, cfg, rep.Swapped, rep.DirtyLandmarks, wantDirty)
+			}
+			e := m.Current()
+			if !reflect.DeepEqual(e.Survey.RTT, wantRTT) {
+				t.Errorf("scope %v, %+v: published RTT matrix differs from the serial walk", scope, cfg)
+			}
+			epochs = append(epochs, e)
+		}
+		a, b := epochs[0], epochs[1]
+		if !reflect.DeepEqual(a.Survey.Heights, b.Survey.Heights) || a.Survey.Kappa != b.Survey.Kappa {
+			t.Errorf("scope %v: heights or kappa differ between fan-out and one-at-a-time", scope)
+		}
+		ra, err := a.Localizer.LocalizeContext(ctx, f.targets[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := b.Localizer.LocalizeContext(ctx, f.targets[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Point != rb.Point || ra.AreaKm2 != rb.AreaKm2 || ra.Weight != rb.Weight ||
+			!reflect.DeepEqual(ra.RTTs, rb.RTTs) || !reflect.DeepEqual(ra.Region.Rings, rb.Region.Rings) {
+			t.Errorf("scope %v: results differ between fan-out and one-at-a-time", scope)
+		}
+	}
+
+	// Blackhole every pair of the first landmark plus a scattered pair:
+	// the first slots all fail at once, and only the lowest may be
+	// reported.
+	for _, id := range f.lmNodes[1:] {
+		f.world.SetPairBlackhole(f.lmNodes[0], id, true)
+	}
+	f.world.SetPairBlackhole(f.lmNodes[3], f.lmNodes[6], true)
+	_, _, wantErr := serialReprobeWalk(f.prober, f.survey, nil, f.survey.Probes, tol)
+	if wantErr == nil {
+		t.Fatal("serial walk survived the blackholed mesh")
+	}
+	for _, cfg := range configs {
+		m := lifecycle.New(f.prober, f.survey, cfg, lifecycle.Options{DriftToleranceMs: tol})
+		if _, err := m.Refresh(ctx, nil); err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("%+v: refresh error = %v, want the serial walk's %v", cfg, err, wantErr)
+		}
+	}
+}
+
 // TestIncrementalRebuildOnlyDirty drifts one landmark pair and checks the
 // published epoch rebuilt exactly the two dirty landmarks' calibrations,
 // carrying every clean calibration and height forward untouched.
@@ -209,7 +334,7 @@ func TestHotSwapSoak(t *testing.T) {
 			}
 		}()
 	}
-	// A third load generator drives core.LocalizeBatch directly on the
+	// A third load generator drives core.LocalizeBatchWith directly on the
 	// current epoch's snapshot — the fused group path without the engine
 	// in front — so hot swaps land under both entry points. Its items
 	// join the same per-epoch bit-identity audit below.
@@ -218,7 +343,7 @@ func TestHotSwapSoak(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			e := m.Current()
-			results, errs := e.Localizer.LocalizeBatch(ctx, f.targets[:4])
+			results, errs := e.Localizer.LocalizeBatchWith(ctx, f.targets[:4], 0, nil)
 			mu.Lock()
 			for i := range results {
 				items = append(items, batch.Item{

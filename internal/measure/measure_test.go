@@ -396,6 +396,49 @@ func TestRunLowestErroredSlot(t *testing.T) {
 	if slot != -1 || err != nil {
 		t.Errorf("clean Run = (%d, %v), want (-1, nil)", slot, err)
 	}
+
+	// Every slot from m on fails at once, so workers race to abort the
+	// round while lower slots are still being claimed. A claimed slot
+	// must still run: the round reports m, never a higher slot. The
+	// window is a few instructions wide, hence the many rounds.
+	wrong := 0
+	for r := 0; r < 50000; r++ {
+		m := r % 7
+		if slot, _ := s.Run(context.Background(), 40, func(i int) error {
+			if i >= m {
+				return errHigh
+			}
+			return nil
+		}); slot != m {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of 50000 rounds reported a slot above the first failing one", wrong)
+	}
+}
+
+// TestNonPositiveCapsUseDefaults: a negative cap falls back to the
+// default like zero does instead of sizing a semaphore channel below
+// zero, which would panic inside a fan-out goroutine where no caller can
+// recover it.
+func TestNonPositiveCapsUseDefaults(t *testing.T) {
+	p := newFakeProber(0)
+	srcs := srcNames(3)
+	for _, cfg := range []Config{{Workers: -1}, {PerLandmark: -1}, {Workers: -2, PerLandmark: -3}} {
+		s := New(cfg)
+		out := make([]float64, len(srcs))
+		errs := make([]error, len(srcs))
+		s.PingMinInto(context.Background(), p, srcs, "target", 4, 0, out, errs)
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%+v slot %d: %v", cfg, i, err)
+			}
+		}
+		if st := s.Stats(); st.Workers != 16 || st.PerLandmark != 4 {
+			t.Errorf("%+v: caps %d/%d, want the defaults 16/4", cfg, st.Workers, st.PerLandmark)
+		}
+	}
 }
 
 // TestTracerouteInto checks slot placement and per-slot failures for the

@@ -1,12 +1,13 @@
-// Package measure is the concurrent measurement scheduler: it fans
-// probe traffic (pings, traceroutes, pairwise survey matrices) out
-// through a bounded worker pool while keeping the *results* shaped
-// exactly like the sequential loops it replaces.
+// Package measure is the measurement scheduler, the one path through
+// which all probe traffic (pings, traceroutes, pairwise survey matrices)
+// is issued: it fans probes out through a bounded worker pool while
+// keeping the *results* shaped exactly like a one-probe-at-a-time walk
+// in slot order.
 //
 // The solver hot path is sub-millisecond, so end-to-end localization
-// latency is measurement wall-clock: one serialized ping train per
-// landmark, one traceroute per selected landmark, O(k²) pings per survey
-// build. The scheduler overlaps those probes under three rules:
+// latency is measurement wall-clock: one ping train per landmark, one
+// traceroute per selected landmark, O(k²) pings per survey build. The
+// scheduler overlaps those probes under three rules:
 //
 //   - Bounded fan-out. A global in-flight cap (Config.Workers) bounds
 //     concurrent probes across every round sharing the scheduler, and a
@@ -19,11 +20,12 @@
 //   - Slot-indexed placement. Every fan-out writes result i into the
 //     caller's slot i, so downstream consumers see landmark order —
 //     failure lists, provenance, and NaN degraded slots are bit-identical
-//     to the sequential path regardless of completion order. Error
+//     to a sequential walk regardless of completion order. Error
 //     selection follows the same rule: the lowest errored slot is the
 //     round's error, which is exactly the "first error in loop order"
-//     the sequential code reported (slots are dispatched in order, so
-//     every slot below a failed one was dispatched before it).
+//     a sequential walk reports (slots are claimed in order and a
+//     claimed slot always runs, so every slot below a failed one is
+//     measured).
 //
 //   - Reuse before re-probe. An optional TTL'd cache keyed by
 //     (src, dst, probe count, survey epoch) lets fused batches and
@@ -50,10 +52,12 @@ import (
 // concurrent probes, 4 per landmark, no pacing interval, no cache.
 type Config struct {
 	// Workers caps concurrent probes across all rounds sharing the
-	// scheduler (default 16).
+	// scheduler (≤ 0 = default 16). With Workers 1 a round dispatches
+	// its slots in order on one goroutine: probes go out one at a time,
+	// in slot order.
 	Workers int
 	// PerLandmark caps concurrent probe trains issued from one source
-	// landmark (default 4).
+	// landmark (≤ 0 = default 4).
 	PerLandmark int
 	// MinInterval additionally spaces successive probe starts from one
 	// source landmark (0 = no spacing, the buckets act as pure
@@ -64,11 +68,14 @@ type Config struct {
 	CacheTTL time.Duration
 }
 
+// fillDefaults maps non-positive caps to the defaults: a negative cap
+// would size a semaphore channel below zero and panic in a fan-out
+// goroutine.
 func (c *Config) fillDefaults() {
-	if c.Workers == 0 {
+	if c.Workers <= 0 {
 		c.Workers = 16
 	}
-	if c.PerLandmark == 0 {
+	if c.PerLandmark <= 0 {
 		c.PerLandmark = 4
 	}
 }
@@ -235,7 +242,7 @@ func (s *Scheduler) release(b *bucket) {
 
 // fan is one fan-out round: slots dispatched in order off an atomic
 // counter to min(Workers, n) goroutines. Dispatch-in-order is what makes
-// lowest-errored-slot equal the sequential loop's first error.
+// lowest-errored-slot equal a sequential walk's first error.
 type fan struct {
 	s    *Scheduler
 	ctx  context.Context
@@ -243,7 +250,7 @@ type fan struct {
 	job  func(slot int) error
 	errs []error
 	// stopOnErr aborts dispatch after the first error (survey semantics:
-	// the sequential loop returned at its first failed pair). Without it
+	// a sequential walk returns at its first failed pair). Without it
 	// every slot settles (localization semantics: failures degrade, they
 	// don't abort).
 	stopOnErr bool
@@ -256,11 +263,14 @@ type fan struct {
 func (f *fan) work() {
 	defer f.wg.Done()
 	for {
-		slot := int(f.next.Add(1)) - 1
-		if slot >= f.n {
+		// Check for an abort before claiming a slot, never after: a
+		// claimed slot always runs, so the lowest errored slot is a
+		// sequential walk's first error.
+		if f.stopOnErr && f.aborted.Load() {
 			return
 		}
-		if f.stopOnErr && f.aborted.Load() {
+		slot := int(f.next.Add(1)) - 1
+		if slot >= f.n {
 			return
 		}
 		if err := f.job(slot); err != nil {
@@ -402,8 +412,8 @@ func isCtxErr(err error) bool {
 }
 
 // pingMinProbe issues one paced probe train and min-filters it — the
-// exact Ping+MinRTT sequence of the sequential loops, so per-slot
-// outcomes (values and error identities) are unchanged.
+// exact Ping+MinRTT sequence of a sequential walk, so per-slot
+// outcomes (values and error identities) match it.
 func (s *Scheduler) pingMinProbe(ctx context.Context, p probe.Prober, src, dst string, n int) (float64, error) {
 	b, err := s.acquire(ctx, src)
 	if err != nil {
@@ -457,8 +467,8 @@ func (s *Scheduler) TracerouteInto(ctx context.Context, p probe.Prober, srcs []s
 // performs slot's measurement (acquiring pacing through Paced) and
 // writes its own results; writes to distinct slots need no locking. The
 // round stops dispatching after the first error, drains in-flight slots,
-// and returns the lowest errored slot with its error — the pair the
-// sequential loop would have aborted on. Returns (-1, nil) when every
+// and returns the lowest errored slot with its error — the pair a
+// sequential walk would have aborted on. Returns (-1, nil) when every
 // slot succeeded.
 func (s *Scheduler) Run(ctx context.Context, n int, job func(slot int) error) (int, error) {
 	if n <= 0 {

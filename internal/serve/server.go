@@ -661,23 +661,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, rd)
 }
 
-// statsPayload is the /v1/stats wire shape: the engine's counters plus,
-// when the serving Localizer measures through a concurrent scheduler,
-// its probe counters under "measure". Existing consumers decoding into
-// batch.Stats are unaffected — the embedded fields keep their keys.
+// statsPayload is the /v1/stats wire shape: the engine's counters plus
+// the serving Localizer's measurement-scheduler counters under
+// "measure". Existing consumers decoding into batch.Stats are
+// unaffected — the embedded fields keep their keys.
 type statsPayload struct {
 	batch.Stats
-	Measure *measure.Stats `json:"measure,omitempty"`
+	Measure measure.Stats `json:"measure"`
 }
 
 // handleStats serves GET /v1/stats: the engine's counters, cache hit
 // rate, in-flight count, latency quantiles, and the measurement
 // scheduler's probe/cache/dedup counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := statsPayload{Stats: s.engine.Stats()}
-	if sched := s.manager.CurrentLocalizer().MeasureScheduler(); sched != nil {
-		ms := sched.Stats()
-		st.Measure = &ms
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, statsPayload{
+		Stats:   s.engine.Stats(),
+		Measure: s.manager.CurrentLocalizer().MeasureScheduler().Stats(),
+	})
 }

@@ -28,7 +28,11 @@
 //	fmt.Println(res.Point, res.AreaKm2)
 //
 // The same Localizer runs over any measurement source implementing Prober —
-// the bundled simulator, the TCP-handshake prober, or your own.
+// the bundled simulator, the TCP-handshake prober, or your own. Every probe
+// it issues goes through one measurement scheduler that fans the landmark
+// probes out under a global and a per-landmark concurrency cap
+// (Config.MeasureWorkers, Config.MeasurePerLandmark); answers never depend
+// on those caps.
 //
 // # Request-scoped options
 //
